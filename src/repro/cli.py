@@ -11,9 +11,8 @@ Subcommands
     the reuse engine: ``--reuse`` (warm-started fixed points, shared
     exact lattices, bound-based pruning) and ``--store PATH`` (persistent
     cross-run evaluation store, fingerprinted to the model).  With
-    ``--workers N`` evaluations run on a worker pool; ``--pool``
-    selects the strategy (``persistent`` shared-memory fleet with the
-    speculative scheduler — the default — or ``per-batch`` executors).
+    ``--workers N`` evaluations run on a persistent shared-memory worker
+    fleet driven by the speculative scheduler.
 ``evaluate``
     Solve a network at explicit window settings and print the power report.
 ``sweep``
@@ -28,12 +27,11 @@ Subcommands
     Differential verification: fuzz random networks through every
     applicable solver pair and replay the golden thesis fixtures.
 ``planes``
-    List the registered evaluation-plane backends (the execution paths
-    ``solve``/``multistart`` pick from — serial, per-batch pool,
-    persistent fleet, resilient ladder) and what each requires.  Every
-    listed backend is certified by the cross-backend conformance suite
-    (``tests/evalplane/``) to walk the bitwise-identical search
-    trajectory as the serial reference.
+    List the three evaluation planes (the execution paths
+    ``solve``/``multistart`` pick from — serial, persistent fleet,
+    resilient ladder), one line each.  Every listed plane is certified
+    by the cross-plane conformance suite (``tests/evalplane/``) to walk
+    the bitwise-identical search trajectory as the serial reference.
 ``chaos``
     Run the named fault-injection battery (worker crashes/hangs, store
     and checkpoint corruption, slow IO, clock skew — see
@@ -151,7 +149,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         solver=args.solver,
         backend=args.solver_backend,
         workers=args.workers,
-        pool_mode=args.pool,
         max_window=args.max_window,
         start=args.start,
         max_evaluations=args.max_evaluations,
@@ -300,7 +297,6 @@ def _cmd_multistart(args: argparse.Namespace) -> int:
         solver=args.solver,
         backend=args.solver_backend,
         workers=args.workers,
-        pool_mode=args.pool,
         max_window=args.max_window,
         reuse=args.reuse,
         store_path=args.store,
@@ -382,25 +378,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_planes(args: argparse.Namespace) -> int:
-    from repro.evalplane import plane_specs
+    from repro.evalplane import PLANES
 
-    rows = []
-    for spec in plane_specs():
-        needs = []
-        if spec.needs_parallel:
-            needs.append("workers > 1")
-        if spec.pool_mode is not None:
-            needs.append(f"pool={spec.pool_mode}")
-        if spec.needs_ladder:
-            needs.append("resilient ladder")
-        rows.append((spec.name, spec.description, ", ".join(needs) or "-"))
-    print(
-        render_table(
-            ["plane", "description", "requires"],
-            rows,
-            title="registered evaluation planes",
-        )
-    )
+    for name, plane in PLANES.items():
+        print(f"{name:<12}{plane.__doc__.strip().splitlines()[0]}")
     return 0
 
 
@@ -476,15 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="evaluate objective points on a pool of N worker processes "
         "(default: in-process)",
-    )
-    solve.add_argument(
-        "--pool",
-        choices=("persistent", "per-batch"),
-        default=None,
-        help="worker-pool strategy with --workers: 'persistent' (default; "
-        "long-lived shared-memory pool driven by the speculative "
-        "scheduler) or 'per-batch' (fresh executor per neighborhood "
-        "batch); default also honours $REPRO_POOL",
     )
     solve.add_argument(
         "--resilient",
@@ -604,12 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch-solve seeds and neighborhoods on N worker processes",
     )
     multistart.add_argument(
-        "--pool",
-        choices=("persistent", "per-batch"),
-        default=None,
-        help="worker-pool strategy with --workers (see 'solve --pool')",
-    )
-    multistart.add_argument(
         "--reuse",
         action="store_true",
         help="cross-evaluation reuse across all starts (warm starts, "
@@ -661,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     planes = sub.add_parser(
-        "planes", help="list registered evaluation-plane backends"
+        "planes", help="list the evaluation planes"
     )
     planes.set_defaults(handler=_cmd_planes)
 

@@ -99,7 +99,7 @@ class WindimResult:
     degradations:
         :class:`~repro.resilience.health.DegradationEvent` records for
         every rung the evaluation plane stepped down mid-search
-        (``persistent -> per-batch -> serial``).  Empty for healthy runs;
+        (``persistent -> serial``).  Empty for healthy runs;
         non-empty means the optimum is still trajectory-exact but was
         computed at reduced parallelism.
     store_quarantined:
@@ -202,7 +202,6 @@ def windim(
     solver: Union[str, Solver] = "mva-heuristic",
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    pool_mode: Optional[str] = None,
     shared_pool: Optional["PersistentEvalPool"] = None,
     start: Optional[Sequence[int]] = None,
     initial_strategy: str = "hops",
@@ -239,21 +238,14 @@ def windim(
         under the others (the parity wall pins them to ≤ 1e-8).
     workers:
         When > 1 (named solvers only), objective evaluations run on a
-        process pool of this size.  Under the default persistent pool
-        mode the workers are created once, receive the model through a
-        shared-memory arena, and are kept saturated by the asynchronous
+        persistent process pool of this size: the workers are created
+        once, receive the model through a shared-memory arena, and are
+        kept saturated by the asynchronous
         :class:`~repro.parallel.scheduler.SpeculativeScheduler` (the
-        search trajectory is identical to the serial run); under
-        ``per-batch`` each neighborhood is batch-evaluated through
-        :meth:`~repro.core.objective.WindowObjective.batch_solve`.
-        Speculative neighbors count as evaluations either way.
-        Incompatible with ``resilient=True`` (health records are
-        in-process); use ``solver="resilient"`` to combine parallelism
-        with the ladder.
-    pool_mode:
-        ``"persistent"`` or ``"per-batch"``; ``None`` defers to the
-        ``REPRO_POOL`` environment variable, then ``"persistent"``.
-        See :class:`~repro.core.objective.WindowObjective`.
+        search trajectory is identical to the serial run).  Speculative
+        neighbors count as evaluations.  Incompatible with
+        ``resilient=True`` (health records are in-process); use
+        ``solver="resilient"`` to combine parallelism with the ladder.
     shared_pool:
         A campaign-owned :class:`~repro.parallel.pool.PersistentEvalPool`
         to borrow instead of creating one (see
@@ -351,7 +343,6 @@ def windim(
         backend=backend,
         workers=workers,
         reuse=reuse,
-        pool_mode=pool_mode,
     )
     if shared_pool is not None:
         if not objective.parallel:
@@ -464,8 +455,8 @@ def windim(
     )
 
     # One plane per run: build_plane picks the execution path (resilient
-    # ladder / persistent fleet / per-batch pool / serial) from the
-    # objective's configuration, and the context manager guarantees the
+    # ladder / persistent fleet / serial) from the objective's
+    # configuration, and the context manager guarantees the
     # drain-then-close lifecycle on every exit path — a budget-exhausted
     # or interrupted run can no longer leave paid-for pool results
     # unmerged or workers alive.

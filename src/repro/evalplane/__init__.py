@@ -1,34 +1,25 @@
 """Unified evaluation plane: one interface over every execution path.
 
-See :mod:`repro.evalplane.plane` for the contract and
-:mod:`repro.evalplane.registry` for adding backends.  The conformance
-suite lives in ``tests/evalplane/`` and certifies every registered
-backend against the serial reference.
+See :mod:`repro.evalplane.plane` for the contract.  There are exactly
+three planes, named in :data:`PLANES`: ``serial`` (the in-process
+reference), ``persistent`` (the shared-memory worker fleet with the
+speculative scheduler) and ``resilient`` (the retry/escalation ladder).
+:func:`build_plane` picks one from an objective's configuration.  The
+conformance suite in ``tests/evalplane/`` certifies every entry of
+:data:`PLANES` against the serial reference.
 """
 
+from repro.evalplane.persistent import PersistentPlane
 from repro.evalplane.plane import EvaluationPlane, build_plane
-from repro.evalplane.registry import (
-    PlaneSpec,
-    create_plane,
-    get_spec,
-    plane_names,
-    plane_specs,
-    register_plane,
-    temporary_plane,
-    unregister_plane,
-)
+from repro.evalplane.resilient import ResilientPlane
 from repro.evalplane.result import EvalResult
+from repro.evalplane.serial import SerialPlane
 
-__all__ = [
-    "EvaluationPlane",
-    "EvalResult",
-    "build_plane",
-    "PlaneSpec",
-    "register_plane",
-    "unregister_plane",
-    "plane_names",
-    "plane_specs",
-    "get_spec",
-    "create_plane",
-    "temporary_plane",
-]
+#: Every evaluation plane, by name (also the ``source`` tag on results).
+PLANES = {
+    "serial": SerialPlane,
+    "persistent": PersistentPlane,
+    "resilient": ResilientPlane,
+}
+
+__all__ = ["EvaluationPlane", "EvalResult", "PLANES", "build_plane"]

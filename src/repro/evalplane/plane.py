@@ -1,13 +1,10 @@
 """The unified evaluation plane interface.
 
-Before this module, every execution path — the serial objective, the
-per-batch ``ProcessPoolExecutor`` fan-out, the persistent shared-memory
-pool with its speculative scheduler, the resilient ladder — was wired
-into :func:`~repro.search.pattern.pattern_search`, ``windim`` and
-``windim_multistart`` with bespoke glue (``prefetch=`` callables,
-``scheduler=`` objects, per-caller cache/store/checkpoint merging).
-:class:`EvaluationPlane` is the single interface all of them now sit
-behind:
+Every execution path — the serial objective, the persistent
+shared-memory pool with its speculative scheduler, the resilient
+ladder — sits behind this one interface, so
+:func:`~repro.search.pattern.pattern_search`, ``windim`` and
+``windim_multistart`` never wire a path by hand:
 
 * :meth:`~EvaluationPlane.submit` — blocking ``windows -> EvalResult``
   through the shared evaluation cache, with budget/cap enforcement and
@@ -27,10 +24,8 @@ The contract certified by the conformance suite (``tests/evalplane/``):
 a pattern search driven through any plane walks the bitwise-identical
 accepted-move trajectory and returns the identical optimum as the serial
 plane, budgets and checkpoints count the same fresh evaluations, and
-warm seeds / bound certificates propagate equivalently.  A new backend
-is added by subclassing this class and registering a factory in
-:mod:`repro.evalplane.registry` — the battery then certifies it with no
-new glue tests.
+warm seeds / bound certificates propagate equivalently.  The suite
+runs over every entry of :data:`repro.evalplane.PLANES`.
 """
 
 from __future__ import annotations
@@ -80,14 +75,14 @@ class EvaluationPlane:
     bound:
         Optional certified lower bound ``point -> float`` (see
         :meth:`~repro.core.objective.WindowObjective.lower_bound`);
-        enables :meth:`prune` and, in pooled planes, worker-side
+        enables :meth:`prune` and, in the pooled plane, worker-side
         speculation skips.
     seed_for:
         Optional ``point -> queue-length matrix or None`` warm-start
         oracle, shipped to pool workers by the persistent plane.
     """
 
-    #: Registry name of this execution path; subclasses override.
+    #: Name of this execution path (its ``PLANES`` key); subclasses override.
     name = "abstract"
 
     def __init__(
@@ -329,41 +324,34 @@ class EvaluationPlane:
         )
 
     # ------------------------------------------------------------------
-    # shared batch helpers (used by the pooled planes and their rungs)
+    # shared batch helper (the SoA fast path and the pooled plane)
     # ------------------------------------------------------------------
-    def _merge_batch(self, keys: Sequence[Point]) -> None:
-        """Fan ``keys`` out via ``objective.batch_solve`` and prime the cache.
+    def _submit_batch(self, batch: Sequence[Sequence[int]]) -> List[EvalResult]:
+        """:meth:`submit_many` as one ``objective.batch_solve`` call.
 
-        Each primed value counts as one fresh evaluation and fires
-        ``on_evaluation`` once — identical bookkeeping to an in-process
-        solve, which is what keeps checkpoints and stores path-agnostic.
+        The uncached points of ``batch`` are deduplicated, trimmed to the
+        remaining evaluation room (skipped entirely once the caps are
+        spent) and solved together.  Each primed value counts as one
+        fresh evaluation and fires ``on_evaluation`` once — identical
+        bookkeeping to an in-process solve, which is what keeps
+        checkpoints and stores path-agnostic.  A result is returned for
+        every point that is cached afterwards.
         """
-        if not keys:
-            return
-        values = self._objective.batch_solve(keys)
-        for key, value in zip(keys, values):
-            if self.cache.prime(key, value) and self.on_evaluation is not None:
-                self.on_evaluation(self.cache)
-
-    def _uncached_cross(self, point: Point, step: int, point_value: float):
-        """The not-yet-cached, not-bound-dominated ±step cross of ``point``."""
-        fresh: List[Point] = []
-        for axis in range(self.space.dimensions):
-            for direction in (+1, -1):
-                candidate = list(point)
-                candidate[axis] += direction * step
-                candidate_t = tuple(candidate)
-                if (
-                    candidate_t in self.space
-                    and candidate_t not in self.cache
-                    and candidate_t not in fresh
-                    and not (
-                        self.bound is not None
-                        and self.bound(candidate_t) > point_value
-                    )
-                ):
-                    fresh.append(candidate_t)
-        return fresh
+        keys = [self._key(w) for w in batch]
+        fresh = [key for key in dict.fromkeys(keys) if key not in self.cache]
+        room = self.max_evaluations - self.cache.evaluations
+        fresh = fresh[: max(0, room)]
+        if fresh and not self._caps_spent():
+            values = self._objective.batch_solve(fresh)
+            for key, value in zip(fresh, values):
+                if self.cache.prime(key, value) and self.on_evaluation is not None:
+                    self.on_evaluation(self.cache)
+        merged = set(fresh)
+        return [
+            self._result(key, self.cache.values[key], fresh=key in merged)
+            for key in keys
+            if key in self.cache
+        ]
 
     # ------------------------------------------------------------------
     # bound pruning
@@ -412,7 +400,8 @@ class EvaluationPlane:
 
         After this returns no paid-for evaluation is lost: best-so-far
         selection, checkpoints and the persistent store all see it.
-        Serial planes have nothing in flight; pooled planes override.
+        In-process planes have nothing in flight; the pooled plane
+        overrides.
         """
 
     def close(self, drain: bool = True) -> None:
@@ -467,12 +456,10 @@ def build_plane(
 ) -> EvaluationPlane:
     """Pick the evaluation plane matching an objective's configuration.
 
-    The decision mirrors what ``windim`` hand-wired before the planes
-    existed: a :class:`~repro.evalplane.resilient.ResilientPlane` when
-    the run wraps the escalation ladder, a
-    :class:`~repro.evalplane.persistent.PersistentPlane` /
-    :class:`~repro.evalplane.batch.BatchPlane` for parallel objectives
-    (by pool mode), and the plain
+    A :class:`~repro.evalplane.resilient.ResilientPlane` when the run
+    wraps the escalation ladder, a
+    :class:`~repro.evalplane.persistent.PersistentPlane` for parallel
+    objectives, and the plain
     :class:`~repro.evalplane.serial.SerialPlane` otherwise.  ``wiring``
     is forwarded to the plane constructor (cache, space, budget, caps,
     hooks).
@@ -482,13 +469,9 @@ def build_plane(
 
         return ResilientPlane(objective, resilient_solver, **wiring)
     if getattr(objective, "parallel", False):
-        if getattr(objective, "pool_mode", "persistent") == "persistent":
-            from repro.evalplane.persistent import PersistentPlane
+        from repro.evalplane.persistent import PersistentPlane
 
-            return PersistentPlane(objective, **wiring)
-        from repro.evalplane.batch import BatchPlane
-
-        return BatchPlane(objective, **wiring)
+        return PersistentPlane(objective, **wiring)
     from repro.evalplane.serial import SerialPlane
 
     return SerialPlane(objective, **wiring)

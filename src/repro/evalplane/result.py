@@ -1,7 +1,7 @@
 """The unit of currency of the evaluation plane: one finished evaluation.
 
-Every execution path — serial objective call, per-batch process-pool
-fan-out, persistent shared-memory fleet, resilient ladder — answers a
+Every execution path — serial objective call, persistent shared-memory
+fleet, resilient ladder — answers a
 :meth:`~repro.evalplane.plane.EvaluationPlane.submit` with the same
 :class:`EvalResult`, so callers (and the conformance suite) never need to
 know which backend produced a number.
@@ -39,8 +39,7 @@ class EvalResult:
         EvaluationCache` (a hit costs nothing and fires no hooks).
     source:
         Name of the plane that produced the value (``"serial"``,
-        ``"batch"``, ``"persistent"``, ``"resilient"``, or a registered
-        custom backend).
+        ``"persistent"`` or ``"resilient"``, or a subclass's own name).
     solution:
         The full :class:`~repro.solution.NetworkSolution` when the
         objective retains one (named solvers via ``WindowObjective``);
@@ -57,7 +56,7 @@ class EvalResult:
     health:
         Per-evaluation health annotation.  The resilient ladder attaches
         its :class:`~repro.resilience.health.SolveHealth`; the pooled
-        planes attach the tuple of
+        plane attaches the tuple of
         :class:`~repro.resilience.health.DegradationEvent` rungs taken
         once the degradation ladder has fired.  None for healthy direct
         solves.

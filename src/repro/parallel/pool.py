@@ -1,7 +1,6 @@
 """Persistent worker pool for WINDIM objective evaluations.
 
-:class:`PersistentEvalPool` replaces the per-batch
-``ProcessPoolExecutor`` fan-out of PR 3 with a long-lived fleet: workers
+:class:`PersistentEvalPool` is a long-lived worker fleet: workers
 are spawned **once** per ``windim``/``windim_multistart``/campaign run,
 receive the network model and solver configuration exactly once through
 a :class:`~repro.parallel.shm.ModelArena` (zero-copy for the dense

@@ -283,7 +283,7 @@ class DegradationEvent:
     """One rung taken on the plane degradation ladder.
 
     Recorded when an evaluation plane abandons a broken execution mode
-    mid-search (persistent pool → per-batch executor → serial) while
+    mid-search (persistent pool → in-process serial) while
     preserving the bitwise search trajectory through the shared
     evaluation cache.
 
@@ -291,7 +291,7 @@ class DegradationEvent:
     ----------
     from_mode / to_mode:
         The execution modes before and after the rung
-        (``"persistent"``, ``"batch"``, ``"serial"``).
+        (``"persistent"`` and ``"serial"``).
     reason:
         Why the plane degraded (the pool failure message, the failure
         budget summary, ...).

@@ -67,6 +67,12 @@ class TestFaultPlan:
     def test_invalid_pool_rejected(self):
         with pytest.raises(SearchError, match="pool"):
             FaultPlan(name="x", pool="fork-bomb")
+        # The per-batch executor is gone; old plan files naming it fail
+        # loudly instead of silently running serial.
+        with pytest.raises(SearchError, match="pool"):
+            FaultPlan(name="x", pool="per-batch")
+        with pytest.raises(SearchError, match="pool"):
+            FaultPlan.from_json('{"name": "x", "pool": "per-batch"}')
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(SearchError, match="JSON"):

@@ -1,29 +1,25 @@
-"""Harness shared by the cross-backend conformance suite.
+"""Harness shared by the cross-plane conformance suite.
 
-Every test in this package parametrises over the evaluation-plane
-registry (:func:`repro.evalplane.plane_names`): a backend registered
-there is automatically pulled through the whole battery.  The harness
-knows how to build, for any registered spec, an objective satisfying the
-spec's requirements (worker pool of the right mode, resilient ladder)
-plus the plane on top of it — tests only say *which* backend and *which*
-network.
+Every test in this package parametrises over the evaluation planes
+(:data:`repro.evalplane.PLANES`).  The harness knows how to build, for
+each plane, an objective satisfying its requirements (a worker pool for
+``persistent``, the resilient ladder for ``resilient``) plus the plane on
+top of it — tests only say *which* plane and *which* network.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import pytest
 
 from repro.core.objective import WindowObjective
-from repro.evalplane import create_plane, get_spec, plane_names
+from repro.evalplane import PLANES
 from repro.search.cache import EvaluationCache
 from repro.search.space import IntegerBox
 
 #: Worker count for pooled planes throughout the suite (CI-friendly).
 POOL_WORKERS = 2
 
-BUILTIN_PLANES = plane_names()
+BUILTIN_PLANES = tuple(PLANES)
 
 
 def build_harness(
@@ -37,28 +33,23 @@ def build_harness(
     with_bound: bool = False,
     solver: str = "mva-heuristic",
 ):
-    """Build ``(objective, plane)`` satisfying a registered spec's needs."""
-    spec = get_spec(plane_name)
+    """Build ``(objective, plane)`` satisfying the named plane's needs."""
+    plane_class = PLANES[plane_name]
     wiring = {}
-    if spec.needs_ladder:
+    if plane_name == "resilient":
         from repro.resilience.ladder import ResilientSolver
 
         ladder = ResilientSolver(solver)
         objective = WindowObjective(network, ladder, reuse=reuse)
         wiring["resilient_solver"] = ladder
-    elif spec.needs_parallel:
+    elif plane_name == "persistent":
         objective = WindowObjective(
-            network,
-            solver,
-            workers=POOL_WORKERS,
-            pool_mode=spec.pool_mode,
-            reuse=reuse,
+            network, solver, workers=POOL_WORKERS, reuse=reuse
         )
     else:
         objective = WindowObjective(network, solver, reuse=reuse)
     space = IntegerBox.windows(network.num_chains, max_window)
-    plane = create_plane(
-        plane_name,
+    plane = plane_class(
         objective,
         cache=EvaluationCache(objective),
         space=space,
@@ -74,7 +65,7 @@ def build_harness(
 
 @pytest.fixture(params=BUILTIN_PLANES)
 def plane_name(request) -> str:
-    """Parametrise a test over every registered evaluation plane."""
+    """Parametrise a test over every evaluation plane."""
     return request.param
 
 

@@ -1,23 +1,23 @@
 """The plane degradation ladder, exercised at the plane layer.
 
 Satellite coverage for ``PersistentPlane.drain()`` under mid-drain
-worker death, the failure budget, and the degraded rungs' bookkeeping
+worker death, the failure budget, and the serial rung's bookkeeping
 (cache priming, ``EvalResult.health``, trajectory preservation).
 """
 
 import os
 import signal
-import time
 
 import pytest
 
 from repro.core.objective import WindowObjective
-from repro.evalplane import create_plane
+from repro.evalplane.persistent import PersistentPlane
 from repro.resilience.health import DegradationEvent
 from repro.search.cache import EvaluationCache
 from repro.search.space import IntegerBox
 
 from tests.evalplane.conftest import build_harness
+from tests.processes import wait_for_exit
 
 POINT = (4, 4)
 
@@ -25,13 +25,7 @@ POINT = (4, 4)
 def _kill_one_worker(objective):
     pid = objective.ensure_pool().worker_pids[0]
     os.kill(pid, signal.SIGKILL)
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except OSError:
-            return pid
-        time.sleep(0.02)
+    assert wait_for_exit(pid)
     return pid
 
 
@@ -45,7 +39,7 @@ class TestMidDrainDeath:
             plane.hint_sweep(POINT, first.value, 2)  # speculation in flight
             _kill_one_worker(objective)
             plane.drain()  # must neither raise nor hang
-            assert plane.mode in ("persistent", "batch")
+            assert plane.mode in ("persistent", "serial")
             # the plane is still serviceable after the drain
             again = plane.submit(POINT)
             assert again.value == first.value
@@ -61,7 +55,7 @@ class TestMidDrainDeath:
             plane.hint_sweep(POINT, first.value, 2)
             _kill_one_worker(objective)
             plane.drain()
-            assert plane.mode == "batch"
+            assert plane.mode == "serial"
             assert plane.degradations
             assert plane.degradations[0].from_mode == "persistent"
             # demanded evaluations keep flowing on the lower rung, and
@@ -74,12 +68,9 @@ class TestMidDrainDeath:
 
 class TestFailureBudget:
     def test_budget_breach_degrades_before_next_demand(self, moderate_net):
-        objective = WindowObjective(
-            moderate_net, "mva-heuristic", workers=2, pool_mode="persistent"
-        )
+        objective = WindowObjective(moderate_net, "mva-heuristic", workers=2)
         space = IntegerBox.windows(moderate_net.num_chains, 12)
-        plane = create_plane(
-            "persistent",
+        plane = PersistentPlane(
             objective,
             cache=EvaluationCache(objective),
             space=space,
@@ -98,7 +89,7 @@ class TestFailureBudget:
                 for event in plane.degradations
             )
         # the trajectory-facing contract held throughout: values primed
-        # by the degraded rungs match in-process solves
+        # by the serial rung match in-process solves
         with WindowObjective(moderate_net, "mva-heuristic") as serial:
             assert plane.cache.values[POINT] == serial(POINT)
 

@@ -47,7 +47,6 @@ class TestMultistartLifecycle:
             moderate_net,
             max_window=8,
             workers=2,
-            pool_mode="persistent",
             max_evaluations=3,
         )
         (plane,) = captured_planes
@@ -84,9 +83,9 @@ class TestMultistartLifecycle:
             moderate_net,
             max_window=8,
             workers=2,
-            pool_mode="per-batch",
             extra_starts=[(5, 5)],
         )
         (plane,) = captured_planes
+        assert plane.name == "persistent"
         assert plane.closed
         assert (5, 5) in plane.cache.values

@@ -21,6 +21,8 @@ from repro.errors import PoolFailure, SearchError
 from repro.netmodel.examples import canadian_two_class
 from repro.parallel import PersistentEvalPool
 
+from tests.processes import wait_for_exit
+
 KEYS = [(2, 2), (3, 3), (4, 2), (2, 5)]
 
 
@@ -88,13 +90,7 @@ def test_killed_worker_is_respawned_and_tasks_complete(network):
                             backend="vectorized", workers=2) as pool:
         victim = pool.worker_pids[0]
         os.kill(victim, signal.SIGKILL)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            try:
-                os.kill(victim, 0)
-            except OSError:
-                break
-            time.sleep(0.05)
+        assert wait_for_exit(victim)
         completions = pool.map(KEYS)
         assert all(done.ok for done in completions.values())
         for key, done in completions.items():
@@ -226,12 +222,9 @@ def test_respawn_budget_exhaustion_raises_pool_failure(network):
 
 
 def test_objective_with_live_pool_pickles(network):
-    # Per-batch executors pickle the objective into spawn workers; a live
-    # persistent pool (queues, processes, shared memory) must never ride
-    # along.
-    objective = WindowObjective(
-        network, backend="vectorized", workers=2, pool_mode="persistent"
-    )
+    # Spawned campaign tasks pickle the objective; a live persistent
+    # pool (pipes, processes, shared memory) must never ride along.
+    objective = WindowObjective(network, backend="vectorized", workers=2)
     try:
         objective.ensure_pool()
         baseline = objective((3, 3))

@@ -128,7 +128,6 @@ class TestPersistentPoolE2E:
 
         combined = base + [
             "--workers", "2",
-            "--pool", "persistent",
             "--reuse",
             "--store", str(tmp_path / "run.store"),
             "--checkpoint", str(tmp_path / "run.ckpt"),
@@ -150,10 +149,13 @@ class TestPersistentPoolE2E:
         )
 
     def test_pool_flag_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["solve", "--rates", "18", "18", "--pool", "sometimes"]
-            )
+        # --pool is gone: every value, even the old default, is a usage
+        # error.
+        for mode in ("sometimes", "persistent"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["solve", "--rates", "18", "18", "--pool", mode]
+                )
 
 
 class TestEvaluate:
